@@ -1,0 +1,9 @@
+"""Make the program and the benchmark importable for ``pytest perfbench``."""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+for path in (str(ROOT), str(ROOT / "src")):
+    if path not in sys.path:
+        sys.path.insert(0, path)
