@@ -119,7 +119,7 @@ class MiniSQL:
         if not self._pending:
             return 0
         batch, self._pending = self._pending, []
-        with self.tracer.span("sql_group_commit", rows=len(batch)):
+        with self.tracer.span("sql_batch_commit", rows=len(batch)):
             for update in batch:
                 self._apply(update)
             self.machine.disk.append(_REDO_RECORD_BYTES * len(batch))

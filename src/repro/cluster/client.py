@@ -102,14 +102,12 @@ class PropellerClient:
             tuple(masters) if masters else (master,))
         self.master_rehomes = 0
         self.batch_size = batch_size
-        # Update coalescing (the group-commit feed): with batching on,
-        # queued updates for one file fold into the newest (upserts
-        # carry complete attribute snapshots, so folding is lossless)
-        # and per-ACG groups travel as one UpdateBatch envelope; the
-        # queue flushes on size *or* age so a trickle never sits
-        # unsent past the server's commit window.  False reproduces
-        # the legacy per-append path byte-for-byte.
-        self.batching = True
+        # Update coalescing (the group-commit feed): queued updates for
+        # one file fold into the newest (upserts carry complete
+        # attribute snapshots, so folding is lossless) and per-ACG
+        # groups travel as one UpdateBatch envelope; the queue flushes
+        # on size *or* age so a trickle never sits unsent past the
+        # server's commit window.
         self.batch_age_s = DEFAULT_BATCH_AGE_S
         self._pending_since: Optional[float] = None
         self.local = local
@@ -594,7 +592,7 @@ class PropellerClient:
         return IndexUpdate.upsert(inode.ino, attrs, path=path), hint
 
     def _enqueue(self, hint: int, update: IndexUpdate) -> None:
-        """Queue one update, coalescing per file when batching is on.
+        """Queue one update, coalescing per file.
 
         The newest update for a file wins and keeps the earlier entry's
         queue position (and its placement hint, unless the new arrival
@@ -602,13 +600,7 @@ class PropellerClient:
         one server-side apply, and an upsert queued behind a delete can
         never resurrect out of order.  The queue flushes when it
         reaches ``batch_size`` or its oldest entry has waited past
-        ``batch_age_s``.  With batching off this is exactly the legacy
-        append-and-flush-on-size path."""
-        if not self.batching:
-            self._pending.append((hint, update))
-            if len(self._pending) >= self.batch_size:
-                self.flush_updates()
-            return
+        ``batch_age_s``."""
         now = self.vfs.clock.now()
         for i, (old_hint, old) in enumerate(self._pending):
             if old.file_id == update.file_id:
@@ -633,22 +625,6 @@ class PropellerClient:
         """Queue several files for (re)indexing."""
         for path in paths:
             self.index_path(path, pid=pid)
-
-    def index_dirty(self, pid: int = 0) -> int:
-        """(Re)index every file the File Access Management module saw a
-        close-after-write for since the last drain — already coalesced
-        per inode, so a rewrite burst costs one queued update.  Returns
-        the number of distinct dirty files queued."""
-        from repro.errors import FileNotFound
-
-        dirty = self.access_manager.drain_dirty()
-        for _, path in dirty:
-            try:
-                self.index_path(path, pid=pid)
-            except FileNotFound:
-                # Unlinked after the drain snapshot: nothing to index.
-                continue
-        return len(dirty)
 
     def delete_path_index(self, file_id: int) -> None:
         """Queue removal of one file id from the indices."""
@@ -774,10 +750,10 @@ class PropellerClient:
 
     def _wire_payload(self, acg_id: int, updates: Sequence[IndexUpdate]):
         """What one (node, ACG) group costs on the wire: a single
-        :class:`UpdateBatch` envelope when batching (shared framing
-        makes the group cheaper than the sum of its members), or the
-        bare list with per-update accounting on the legacy path."""
-        if self.batching and len(updates) > 1:
+        :class:`UpdateBatch` envelope for a multi-update group (shared
+        framing makes it cheaper than the sum of its members), or a
+        one-update list at that update's own wire size."""
+        if len(updates) > 1:
             batch = UpdateBatch(acg_id, tuple(updates))
             return batch, batch.wire_bytes()
         return updates, sum(u.wire_bytes() for u in updates)

@@ -399,15 +399,6 @@ class IndexNode:
         # Attached by the service: lets this node forward updates during
         # a migration's dual-ownership window.
         self.rpc = None
-        # Hot-path batching knobs (service-wide; see PropellerService
-        # ``batching``).  ``group_commit`` turns an update envelope into
-        # one WAL batch record + one fsync and commits it with one bulk
-        # index apply; ``vectorized_postings`` runs searches through the
-        # roaring-style posting-list path.  Both False reproduce the
-        # legacy per-op path byte-for-byte (the chaos bit-determinism
-        # baseline).
-        self.group_commit = True
-        self.vectorized_postings = True
         # Tiered storage (service-wide knob; see PropellerService
         # ``set_tiering``).  Off by default: the freeze driver, the
         # frozen search path, and every cold-tier charge are gated on
@@ -681,7 +672,7 @@ class IndexNode:
         if self.registry is not None and updates:
             self.registry.histogram("update.batch_size", unit="updates")\
                 .observe(len(updates))
-        if self.group_commit and updates:
+        if updates:
             # Group commit: the whole envelope becomes one WAL batch
             # record — one frame, one simulated fsync — and the cache
             # insert pays full price once plus a marginal cost per rider.
@@ -692,12 +683,6 @@ class IndexNode:
                 _CACHE_ADD_OPS + _CACHE_ADD_BATCHED_OPS * (len(updates) - 1))
             for update in updates:
                 self.cache.add(acg_id, update, now)
-        else:
-            for update in updates:
-                self.wal.append((acg_id, update.file_id, update.op.value,
-                                 update.path, update.attrs))
-                self.machine.compute(_CACHE_ADD_OPS)
-                self.cache.add(acg_id, update, now)
         state = self.repl.get(acg_id)
         if state is None:
             return len(updates)
@@ -706,14 +691,11 @@ class IndexNode:
         # that cannot be reached just falls behind (its ack watermark
         # stays put); the periodic catch-up re-sends the suffix — the
         # client's ack never hinges on follower liveness.
-        if self.group_commit and updates:
+        if updates:
             # One log record per batch: primaries, followers, and hedged
             # reads advance their watermarks at identical batch
             # boundaries, so a partially-visible envelope is impossible.
             state.log.append(tuple(updates))
-        else:
-            for update in updates:
-                state.log.append(update)
         self._stream_to_followers(acg_id, state)
         return UpdateAck(len(updates), acg_id=acg_id, seq=state.log.last_seq,
                          repl_epoch=state.repl_epoch)
@@ -736,11 +718,7 @@ class IndexNode:
             # absorb the fault — the store is authoritative; residency is
             # a cost-model event, retried on the next touch.
             pass
-        if self.group_commit:
-            replica.apply_batch(updates)
-        else:
-            for update in updates:
-                replica.apply(update)
+        replica.apply_batch(updates)
         # Commit is the moment an update becomes search-visible: resolve
         # any freshness stamps now (bookkeeping only, zero simulated cost).
         now = self.machine.clock.now()
@@ -912,13 +890,10 @@ class IndexNode:
     def _materialize_units(self, matches: int) -> int:
         """Examine charges to materialize ``matches`` result docs.
 
-        The legacy set path touches one doc per charge; the bitmap
-        posting path extracts matches word-at-a-time, so one charge
-        covers ``_VECTOR_WIDTH`` of them (ceil — a partial word still
-        costs a word).
+        The bitmap posting path extracts matches word-at-a-time, so one
+        charge covers ``_VECTOR_WIDTH`` of them (ceil — a partial word
+        still costs a word).
         """
-        if not self.vectorized_postings:
-            return matches
         return (matches + _VECTOR_WIDTH - 1) // _VECTOR_WIDTH
 
     def _purge_result_cache(self, acg_id: int) -> None:
@@ -981,8 +956,7 @@ class IndexNode:
         with self.tracer.span("index_scan", node=self.name, acg=acg_id) as span:
             self.machine.compute(_EXAMINE_OPS * max(1, replica.file_count // 64))
             file_ids = execute_plans(plans, predicate, replica.indexes,
-                                     replica.store, now,
-                                     use_postings=self.vectorized_postings)
+                                     replica.store, now)
             self.machine.compute(
                 _EXAMINE_OPS * self._materialize_units(len(file_ids)))
             span.set_attribute("matches", len(file_ids))
@@ -1023,8 +997,7 @@ class IndexNode:
             return self._search_live_body(acg_id, predicate, index_names, now)
         with self.tracer.span("segment_scan", node=self.name, acg=acg_id) as span:
             self.machine.compute(_EXAMINE_OPS * max(1, view.file_count() // 64))
-            file_ids = view.search(predicate, now,
-                                   use_postings=self.vectorized_postings)
+            file_ids = view.search(predicate, now)
             self.machine.compute(
                 _EXAMINE_OPS * self._materialize_units(len(file_ids)))
             span.set_attribute("matches", len(file_ids))
@@ -1518,20 +1491,17 @@ class IndexNode:
             replica.ensure_index(spec)
         for spec in self._global_specs.values():
             replica.ensure_index(spec)
-        if self.group_commit:
-            replica.apply_batch([
-                IndexUpdate.upsert(file_id, dict(attrs), path=path)
-                for file_id, attrs, path in files])
-        else:
-            for file_id, attrs, path in files:
-                replica.apply(IndexUpdate.upsert(file_id, dict(attrs), path=path))
+        replica.apply_batch([
+            IndexUpdate.upsert(file_id, dict(attrs), path=path)
+            for file_id, attrs, path in files])
         self.followers[acg_id] = FollowerState(
             primary=primary, repl_epoch=repl_epoch, replica=replica,
             applied_seq=seq)
         return seq
 
-    def handle_replicate_apply(self, acg_id: int, repl_epoch: int,
-                               records: Sequence[Tuple[int, IndexUpdate]]) -> int:
+    def handle_replicate_apply(
+            self, acg_id: int, repl_epoch: int,
+            records: Sequence[Tuple[int, Tuple[IndexUpdate, ...]]]) -> int:
         """Apply a log suffix to the follower replica; returns applied seq.
 
         Idempotent by sequence contiguity: records at or below the
@@ -1556,14 +1526,10 @@ class IndexNode:
                 continue
             if seq != st.applied_seq + 1:
                 break
-            # A group-commit primary logs one record per batch (a tuple
-            # of updates); the legacy path logs single updates.  Either
-            # way the record applies atomically before the watermark
+            # The primary logs one record per batch (a tuple of
+            # updates); it applies atomically before the watermark
             # advances, so hedged reads never see half an envelope.
-            if isinstance(payload, IndexUpdate):
-                st.replica.apply(payload)
-            else:
-                st.replica.apply_batch(list(payload))
+            st.replica.apply_batch(list(payload))
             st.applied_seq = seq
             st.last_apply_t = self.machine.clock.now()
         return st.applied_seq
@@ -1660,8 +1626,7 @@ class IndexNode:
         plans = plan_query_set(predicate, specs, now)
         self.machine.compute(_EXAMINE_OPS * max(1, replica.file_count // 64))
         file_ids = execute_plans(plans, predicate, replica.indexes,
-                                 replica.store, now,
-                                 use_postings=self.vectorized_postings)
+                                 replica.store, now)
         self.machine.compute(
             _EXAMINE_OPS * self._materialize_units(len(file_ids)))
         paths = tuple(sorted(
@@ -1786,7 +1751,7 @@ class IndexNode:
         """Rebuild the pending cache from the WAL after a simulated crash.
 
         Replayed updates go straight through commit (they were already
-        acknowledged); returns how many records were recovered.  Records
+        acknowledged); returns how many updates were recovered.  Records
         the log had to drop at a torn or corrupt tail accumulate into
         :attr:`wal_replay_dropped_total` (the ``wal.replay_dropped`` node
         metric) so every unrecoverable acknowledgement is accounted for.
@@ -1797,7 +1762,6 @@ class IndexNode:
         # records later in the same log.
         committed_before = dict(self._wal_commit_counts)
         seen: Dict[int, int] = {}
-        batch_tag = WriteAheadLog.BATCH_TAG
         # Skip accounting is in *updates*, not records: a skipped batch
         # record hides its whole envelope, and the metric feeds the
         # "every acknowledgement is accounted for" audit.
@@ -1814,10 +1778,7 @@ class IndexNode:
             # batch record advances ``seen`` by its batch length; a batch
             # straddling the watermark is kept and sliced in the loop.
             nonlocal skipped_updates
-            if record[0] == batch_tag:
-                acg_id, length = record[1], len(record[2])
-            else:
-                acg_id, length = record[0], 1
+            acg_id, length = record[1], len(record[2])
             if acg_id in self.migrated_away or acg_id in self.handoff_intents:
                 skipped_updates += length
                 return False
@@ -1827,11 +1788,7 @@ class IndexNode:
                 return False
             return True
 
-        for record in self.wal.replay(keep):
-            if record[0] == batch_tag:
-                acg_id, raw = record[1], record[2]
-            else:
-                acg_id, raw = record[0], (record,)
+        for _, acg_id, raw in self.wal.replay(keep):
             # ``seen`` is exact through this record (replay is lazy), so
             # the committed prefix of a straddling batch is the first
             # ``already`` updates — replaying those would not be

@@ -34,10 +34,10 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.errors import SegmentCorruption
 from repro.indexstructures.base import IndexKind
-from repro.indexstructures.postings import PostingList, intersect_all
+from repro.indexstructures.postings import PostingList
 from repro.indexstructures.serialization import dump_value, load_value
-from repro.query.ast import Keyword, Predicate, conjuncts, matches
-from repro.query.executor import AttributeStore
+from repro.query.ast import Predicate
+from repro.query.executor import AttributeStore, _exact_matches
 from repro.query.planner import IndexSpec
 from repro.query.summary import SummarySnapshot
 
@@ -219,26 +219,11 @@ class SegmentView:
         denser than the live replica's residency charge."""
         return 256 + self.store.estimated_bytes()
 
-    def search(self, predicate: Predicate, now: float,
-               use_postings: bool = True) -> Set[int]:
+    def search(self, predicate: Predicate, now: float) -> Set[int]:
         """Exact matching file ids (same answer as the live path)."""
-        candidates = None
-        if use_postings:
-            terms = [c.term for c in conjuncts(predicate)
-                     if isinstance(c, Keyword)]
-            if terms:
-                candidates = intersect_all(
-                    self.postings.get(term, PostingList()) for term in terms)
-        if candidates is None:
-            candidates = self.store.file_ids()
-        result: Set[int] = set()
-        for file_id in candidates:
-            if file_id in result or file_id not in self.store:
-                continue
-            if matches(predicate, self.store.attrs(file_id),
-                       self.store.keywords(file_id), now):
-                result.add(file_id)
-        return result
+        return _exact_matches(
+            predicate, self.store, now, self.store.file_ids,
+            lambda term: self.postings.get(term, PostingList()))
 
 
 # -- the node-local segment cache ------------------------------------------------

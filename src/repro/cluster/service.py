@@ -114,14 +114,10 @@ class PropellerService:
             self.masters.append(standby)
         for m in self.masters:
             m._on_promote = self._master_promoted
-        # Hot-path batching (group-commit WAL, bulk apply, vectorized
-        # postings, client-side coalescing).  Flipped service-wide by
-        # :meth:`set_batching`; False restores the legacy per-op path.
-        self.batching = True
         # Tiered storage (frozen cold partitions on a simulated object
         # store).  One shared store for the deployment — keys are
         # namespaced per node — flipped service-wide by
-        # :meth:`set_tiering`; off by default, like batching's inverse.
+        # :meth:`set_tiering`; off by default.
         self.tiering = False
         self.object_store = SimObjectStore(self.clock)
         self.index_nodes: Dict[str, IndexNode] = {}
@@ -241,8 +237,8 @@ class PropellerService:
                      lambda n=node: n.cache.stats.search_commits)
         reg.gauge_fn(f"{prefix}.wal.bytes", lambda n=node: len(n.wal))
         # Group-commit leverage: how many simulated fsyncs the log paid
-        # and how many bytes each one carried (per-update logging sits
-        # near the frame size; batching drives bytes/fsync up).
+        # and how many bytes each one carried (a one-update envelope sits
+        # near the frame size; larger envelopes drive bytes/fsync up).
         reg.gauge_fn(f"{prefix}.wal.fsyncs", lambda n=node: n.wal.fsyncs)
         reg.gauge_fn(f"{prefix}.wal.bytes_per_fsync",
                      lambda n=node: n.wal.bytes_written / max(1, n.wal.fsyncs))
@@ -677,23 +673,9 @@ class PropellerService:
         client.tracer = self.tracer
         client.registry = self.registry
         client.journal = self.journal
-        client.batching = self.batching
         client.set_freshness(self.freshness)
         self._clients.append(client)
         return client
-
-    def set_batching(self, enabled: bool) -> None:
-        """Flip the hot-path batching stack service-wide: group-commit
-        WAL + bulk apply on every Index Node, vectorized posting-list
-        intersection on the query side, and client-side update
-        coalescing.  ``False`` restores the legacy per-op path
-        byte-for-byte — the chaos bit-determinism baseline."""
-        self.batching = enabled
-        for node in self.index_nodes.values():
-            node.group_commit = enabled
-            node.vectorized_postings = enabled
-        for client in self._clients:
-            client.batching = enabled
 
     def set_tiering(self, enabled: bool, freeze_age_s: Optional[float] = None,
                     cache_budget_bytes: Optional[int] = None,

@@ -29,9 +29,9 @@ _HEADER = struct.Struct("<II")  # length, crc32
 class WriteAheadLog:
     """Append-only CRC-framed log, optionally charging a simulated disk."""
 
-    #: First element of a group-commit record: distinguishes a batch
-    #: frame ``(BATCH_TAG, acg_id, (update, ...))`` from the legacy
-    #: one-update-per-frame records whose first element is an int.
+    #: First element of a group-commit record: marks a batch frame
+    #: ``(BATCH_TAG, acg_id, (update, ...))``, the only frame shape an
+    #: Index Node writes and recovers.
     BATCH_TAG = "batch"
 
     def __init__(self, disk: Optional[DiskDevice] = None) -> None:
@@ -39,8 +39,8 @@ class WriteAheadLog:
         self._disk = disk
         self.records_appended = 0
         # Group-commit accounting: every frame written is one simulated
-        # fsync (the legacy path pays one per record; append_batch pays
-        # one per *batch*).  bytes_written / fsyncs gives the amortized
+        # fsync (append pays one per record; append_batch pays one per
+        # *batch*).  bytes_written / fsyncs gives the amortized
         # fsync payload surfaced as ``wal.bytes_per_fsync``.
         self.fsyncs = 0
         self.bytes_written = 0

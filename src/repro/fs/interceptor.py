@@ -9,7 +9,7 @@ Node's file→ACG mapping current.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Callable, Optional
 
 from repro.core.acg import AccessCausalityGraph
 from repro.core.trace import AccessEvent, TraceRecorder
@@ -43,14 +43,6 @@ class FileAccessManager:
         # close-after-write is the instant a file's content changed, so
         # it is where the staleness stopwatch starts.
         self.freshness = NULL_FRESHNESS
-        # Dirty-file coalescing buffer for the batched update path:
-        # every close-after-write marks the file dirty, keyed by inode
-        # so a rewrite burst collapses to one entry (the latest path
-        # wins — a rename between writes must index the new name).
-        # ``drain_dirty`` hands the set to the client's group-commit
-        # feed; an unlink drops the entry so a dead file is never
-        # re-indexed from stale dirt.
-        self._dirty: "dict[int, str]" = {}
 
     def _watches(self, pid: int) -> bool:
         # Negative pids are system components (checkpoint writers, the
@@ -86,7 +78,6 @@ class FileAccessManager:
             return
         if mode & OpenMode.WRITE:
             self.freshness.stamp(inode.ino, t)
-            self._dirty[inode.ino] = path
 
     def on_create(self, pid: int, path: str, inode: Inode, t: float) -> None:
         """VFS observer hook: register the new file as an ACG vertex."""
@@ -102,7 +93,6 @@ class FileAccessManager:
         if not self._watches(pid):
             return
         self._acg.remove_file(inode.ino)
-        self._dirty.pop(inode.ino, None)
         if self._unlink_cb is not None:
             self._unlink_cb(path, inode)
 
@@ -112,8 +102,6 @@ class FileAccessManager:
         # client needs to refresh the path-derived index entries.
         if not self._watches(pid):
             return
-        if inode.ino in self._dirty:
-            self._dirty[inode.ino] = new_path
         if self._rename_cb is not None:
             self._rename_cb(old_path, new_path, inode)
 
@@ -130,19 +118,6 @@ class FileAccessManager:
     def peek(self) -> AccessCausalityGraph:
         """The ACG accumulated so far (not cleared)."""
         return self._acg
-
-    def dirty_count(self) -> int:
-        """How many distinct files are waiting in the dirty buffer."""
-        return len(self._dirty)
-
-    def drain_dirty(self) -> List[Tuple[int, str]]:
-        """Hand over the coalesced dirty set (insertion order) and reset.
-
-        Each entry is one distinct written file — however many times it
-        was rewritten — under its most recent path.
-        """
-        dirty, self._dirty = self._dirty, {}
-        return list(dirty.items())
 
     def drain(self) -> AccessCausalityGraph:
         """Hand over the cached ACG and start a fresh one (client flush)."""

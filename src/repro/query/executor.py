@@ -120,41 +120,28 @@ def _candidates(plan: Plan, indexes: Mapping[str, Index],
     raise QueryError(f"unknown access path: {plan.access!r}")
 
 
-def _keyword_posting_candidates(plan: Plan, predicate: Predicate,
-                                indexes: Mapping[str, Index]
-                                ) -> Optional[PostingList]:
-    """AND the posting lists of every top-level keyword conjunct.
+def _exact_matches(predicate: Predicate, store: AttributeStore, now: float,
+                   fallback: Callable[[], Iterable[int]],
+                   postings: Optional[Callable[[str], PostingList]] = None
+                   ) -> Set[int]:
+    """The exact-search core shared by the live and frozen paths.
 
-    The legacy keyword path probes one term and leaves the rest to the
-    per-doc residual filter — each candidate pays a membership test per
-    remaining keyword.  Here every keyword that is a mandatory conjunct
+    With a posting source, every keyword that is a mandatory conjunct
     (``conjuncts`` only flattens top-level ANDs, so each is required)
-    narrows the candidate set up front with a vectorized bitmap AND.
-    Returns None when the predicate has no top-level keyword conjuncts
-    (e.g. a disjunctive branch plan) — the caller falls back to the
-    legacy probe.  Exactness is untouched either way: candidates still
-    run through the full residual filter.
+    narrows the candidate set up front with a vectorized bitmap AND of
+    ``postings(term)``.  Without one, or when the predicate has no
+    top-level keyword conjunct (e.g. a disjunctive branch plan),
+    candidates come from ``fallback()``.  Every candidate then passes
+    the full predicate as a residual filter, so the answer is exact
+    either way.
     """
-    terms = [c.term for c in conjuncts(predicate) if isinstance(c, Keyword)]
-    if not terms:
-        return None
-    index = indexes[plan.index_name]
-    return intersect_all(
-        PostingList.from_iterable(index.get(term)) for term in terms)
-
-
-def execute(plan: Plan, predicate: Predicate, indexes: Mapping[str, Index],
-            store: AttributeStore, now: float,
-            use_postings: bool = False) -> Set[int]:
-    """Run one plan; return the exact set of matching file ids."""
-    candidates: Iterable[int]
-    if (use_postings and plan.access == "keyword"
-            and plan.index_name is not None and plan.index_name in indexes):
-        postings = _keyword_posting_candidates(plan, predicate, indexes)
-        candidates = postings if postings is not None \
-            else _candidates(plan, indexes, store)
-    else:
-        candidates = _candidates(plan, indexes, store)
+    candidates: Optional[Iterable[int]] = None
+    if postings is not None:
+        terms = [c.term for c in conjuncts(predicate) if isinstance(c, Keyword)]
+        if terms:
+            candidates = intersect_all(postings(term) for term in terms)
+    if candidates is None:
+        candidates = fallback()
     result: Set[int] = set()
     for file_id in candidates:
         if file_id in result or file_id not in store:
@@ -164,15 +151,30 @@ def execute(plan: Plan, predicate: Predicate, indexes: Mapping[str, Index],
     return result
 
 
+def execute(plan: Plan, predicate: Predicate, indexes: Mapping[str, Index],
+            store: AttributeStore, now: float) -> Set[int]:
+    """Run one plan; return the exact set of matching file ids.
+
+    A keyword plan intersects the keyword index's posting lists for every
+    keyword conjunct; every other plan walks its access path."""
+    if (plan.access == "keyword"
+            and plan.index_name is not None and plan.index_name in indexes):
+        index = indexes[plan.index_name]
+        return _exact_matches(
+            predicate, store, now, lambda: index.get(plan.key),
+            lambda term: PostingList.from_iterable(index.get(term)))
+    return _exact_matches(predicate, store, now,
+                          lambda: _candidates(plan, indexes, store))
+
+
 def execute_plans(plans: Iterable[Plan], predicate: Predicate,
                   indexes: Mapping[str, Index], store: AttributeStore,
-                  now: float, use_postings: bool = False) -> Set[int]:
+                  now: float) -> Set[int]:
     """Union of several plans (disjunctive queries), still exact: every
     candidate is re-checked against the full predicate."""
     result: Set[int] = set()
     for plan in plans:
-        result |= execute(plan, predicate, indexes, store, now,
-                          use_postings=use_postings)
+        result |= execute(plan, predicate, indexes, store, now)
     return result
 
 

@@ -6,9 +6,10 @@ any suffix.  A follower that has applied sequence ``k`` asks for
 ``since(k)``; if the log has trimmed past ``k`` the answer is ``None`` and
 the primary must fall back to a full snapshot bootstrap.
 
-Records are the committed :class:`~repro.cluster.messages.IndexUpdate`
-objects themselves — the follower applies the same update stream the
-primary's replica applied, so converged logs imply converged stores.
+An Index Node logs each group-commit batch as one record (a tuple of
+:class:`~repro.cluster.messages.IndexUpdate` objects) — the follower
+applies the same batches the primary's replica applied, so converged
+logs imply converged stores.
 """
 
 from __future__ import annotations

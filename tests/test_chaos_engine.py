@@ -166,25 +166,13 @@ class TestChaosRunner:
         assert report["seed"] == 7
         assert report["files_created"] > 0
 
-    def test_batching_on_off_same_outcome_under_faults(self):
-        """The batched hot path (group-commit WAL, bulk apply, coalesced
-        client envelopes) must be invisible to the fault model: one RF=2
-        schedule run both ways holds every invariant, and the cluster
-        walks through the *same* failover history — batching changes
-        costs, never outcomes."""
-        on = ChaosRunner(seed=3, steps=40, nodes=3, rf=2, batching=True)
-        off = ChaosRunner(seed=3, steps=40, nodes=3, rf=2, batching=False)
-        ron, roff = on.run(), off.run()
-        assert ron["violations"] == []
-        assert roff["violations"] == []
-        jon = on.service.journal.digest()["by_type"]
-        joff = off.service.journal.digest()["by_type"]
-        keys = [k for k in set(jon) | set(joff)
-                if k.startswith("failover.")]
-        for key in sorted(keys):
-            assert jon.get(key, 0) == joff.get(key, 0), key
-        assert (ron["counters"].get("cluster.master.failovers", 0)
-                == roff["counters"].get("cluster.master.failovers", 0))
+    def test_rf2_schedule_holds_invariants_under_faults(self):
+        """An RF=2 schedule with crashes and failovers holds every
+        invariant on the batched hot path (group-commit WAL, bulk apply,
+        coalesced client envelopes)."""
+        report = run_chaos(seed=3, steps=40, nodes=3, rf=2)
+        assert report["violations"] == []
+        assert report["counters"].get("cluster.master.failovers", 0) >= 1
 
     def test_exercises_faults(self):
         """A long-enough program actually injects faults — the engine is

@@ -51,16 +51,26 @@ def test_index_node_crash_then_wal_recovery():
 
 
 def test_torn_wal_tail_loses_only_last_record():
+    """Two flushes write two batch frames; a torn tail loses only the
+    second batch, and the batch before it recovers in full."""
     service, client = build(nodes=1)
-    # Legacy per-update records: one torn frame loses exactly one update.
-    service.index_nodes["in1"].group_commit = False
-    populate(service, client, n=10)
+    populate(service, client, n=10)  # first flush -> first batch record
+    for i in range(10, 16):
+        service.vfs.write_file(f"/d/f{i:03d}", 100 + i, pid=1)
+        client.index_path(f"/d/f{i:03d}", pid=1)
+    client.flush_updates()  # second batch record
     node = service.index_nodes["in1"]
+    assert node.wal.fsyncs == 2
     node.wal.simulate_torn_tail(5)
     replacement = IndexNode("r", Machine(SimClock()))
     replacement.handle_create_index(IndexSpec("by_size", IndexKind.BTREE, ("size",)))
     replacement.wal._buffer = bytearray(node.wal._buffer)
-    assert replacement.recover_from_wal() == 9
+    assert replacement.recover_from_wal() == 10
+    assert replacement.wal.replay_dropped == 1
+    recovered = sorted(replica.store.attrs(fid)["path"]
+                       for replica in replacement.replicas.values()
+                       for fid in replica.store.file_ids())
+    assert recovered == [f"/d/f{i:03d}" for i in range(10)]
 
 
 def test_torn_wal_tail_drops_whole_batch_record():

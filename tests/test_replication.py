@@ -526,7 +526,9 @@ def test_replicate_apply_idempotent_under_resend_and_reorder(chunks):
     """Any storm of re-sent / overlapping / out-of-order log suffixes at
     non-decreasing-enough epochs leaves the replica equal to one clean
     in-order apply: duplicates skip, gaps stop, nothing double-applies."""
-    records = [(i + 1, IndexUpdate.upsert(i + 1, {"size": i + 1}))
+    # The primary logs one record per group-commit batch: here each
+    # batch carries one update.
+    records = [(i + 1, (IndexUpdate.upsert(i + 1, {"size": i + 1}),))
                for i in range(N_RECORDS)]
     node = _fresh_follower()
     max_epoch = 1
@@ -554,7 +556,7 @@ def test_replicate_apply_idempotent_under_resend_and_reorder(chunks):
 
 def test_replicate_apply_survives_promotion():
     node = _fresh_follower()
-    records = [(i + 1, IndexUpdate.upsert(i + 1, {"size": i + 1}))
+    records = [(i + 1, (IndexUpdate.upsert(i + 1, {"size": i + 1}),))
                for i in range(5)]
     node.handle_replicate_apply(1, 1, records)
     applied, count = node.handle_promote_replica(1, repl_epoch=2)

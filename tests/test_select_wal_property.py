@@ -161,7 +161,7 @@ TestGroupCommitWal.settings = settings(max_examples=30, deadline=None,
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 5)),
+@given(st.lists(st.tuples(st.integers(0, 2), st.integers(1, 5)),
                 min_size=1, max_size=12),
        st.integers(0, 80),
        st.lists(st.integers(0, 40), min_size=3, max_size=3))
@@ -173,23 +173,15 @@ def test_property_batch_replay_idempotent_vs_watermarks(ops, torn, committed):
     node = IndexNode("r", Machine(SimClock()))
     fid = 0
     for acg, n in ops:
-        if n == 0:
-            node.wal.append((acg, fid, "upsert", f"/f{fid}",
-                             (("size", fid),)))
-            fid += 1
-        else:
-            node.wal.append_batch(acg, tuple(
-                (acg, fid + i, "upsert", f"/f{fid + i}", (("size", fid + i),))
-                for i in range(n)))
-            fid += n
+        node.wal.append_batch(acg, tuple(
+            (acg, fid + i, "upsert", f"/f{fid + i}", (("size", fid + i),))
+            for i in range(n)))
+        fid += n
     node.wal.simulate_torn_tail(min(torn, max(0, len(node.wal) - 1)))
     # Flatten the records that survived the tear into per-ACG streams.
     survived = {0: [], 1: [], 2: []}
-    for record in node.wal.replay():
-        if record[0] == WriteAheadLog.BATCH_TAG:
-            survived[record[1]].extend(r[1] for r in record[2])
-        else:
-            survived[record[0]].append(record[1])
+    for _, acg, raw in node.wal.replay():
+        survived[acg].extend(r[1] for r in raw)
     # Pretend a prefix of each ACG's updates had already committed.
     marks = {acg: min(committed[acg], len(survived[acg]))
              for acg in survived}
