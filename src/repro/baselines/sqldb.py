@@ -130,7 +130,10 @@ class MiniSQL:
         for attr, index in self._indexes.items():
             if attr in old:
                 index.remove(old[attr], file_id)
-        for token in self.store.keywords(file_id):
+        # Sorted here and in _apply: a keyword set iterates in
+        # string-hash-seed order, and the keyword B+tree's simulated
+        # charges follow the order of its inserts and removes.
+        for token in sorted(self.store.keywords(file_id)):
             self._keyword_index.remove(token, file_id)
 
     def _apply(self, update: IndexUpdate) -> None:
@@ -148,7 +151,7 @@ class MiniSQL:
         for attr, index in self._indexes.items():
             if attr in attrs:
                 index.insert(attrs[attr], update.file_id)
-        for token in self.store.keywords(update.file_id):
+        for token in sorted(self.store.keywords(update.file_id)):
             self._keyword_index.insert(token, update.file_id)
         self.rows_written += 1
 

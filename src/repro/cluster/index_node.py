@@ -1137,9 +1137,10 @@ class IndexNode:
     def handle_install_partition(self, acg_id: int, payload: Dict[str, Any]) -> int:
         """Install a migrated partition as a replica on this node.
 
-        Accepts the legacy ``{"acg_records", "files"}`` payload and the
-        tiered transfer format ``{"segment": bytes}`` — a frozen segment
-        dumped by the source, which unpacks to the same shape."""
+        Accepts ``{"segment": bytes}`` from :meth:`handle_transfer_out`
+        and the expanded ``{"acg_records", "files"}`` payload that
+        :meth:`handle_extract_partition` sends for splits and merges; a
+        segment unpacks to the same shape."""
         self._clear_stale_handoff(acg_id)
         if "segment" in payload:
             unpacked = load_segment_payload(payload["segment"])
@@ -1172,28 +1173,21 @@ class IndexNode:
 
     # -- online migration (source/target protocol half) ---------------------------
 
-    def _checkpoint_one(self, replica: AcgReplica) -> None:
+    def _checkpoint_one(self, replica: AcgReplica) -> bytes:
+        """Dump one replica's segment and, with shared storage attached,
+        write it as the replica's checkpoint; returns the segment bytes."""
+        data = dump_segment(replica, self.name)
         if self.shared_vfs is None:
-            return
-        from repro.cluster.persistence import (PROPELLER_ROOT,
-                                               checkpoint_replica,
-                                               replica_path)
+            return data
+        from repro.cluster.persistence import write_checkpoint
 
-        if replica.acg_id in self.frozen:
-            # A frozen partition checkpoints as its segment bytes — the
-            # tiered transfer format ``read_checkpoint`` also accepts.
-            # Re-dumped from the live backing replica (deterministic, no
-            # cold-tier round trip, immune to injected object faults).
-            data = dump_segment(replica, self.name)
-            self.shared_vfs.mkdir(f"{PROPELLER_ROOT}/{self.name}", parents=True)
-            self.shared_vfs.write_bytes(replica_path(self.name, replica.acg_id),
-                                        data)
-            self._shared_device.reset_head()
-            self._shared_device.append(len(data))
-            return
-        checkpoint_replica(self.shared_vfs, self.name, replica)
+        write_checkpoint(self.shared_vfs, self.name, replica.acg_id, data)
+        # The shared-device charge is the live replica's resident bytes,
+        # or the segment length for a frozen partition.
         self._shared_device.reset_head()
-        self._shared_device.append(replica.resident_bytes())
+        self._shared_device.append(len(data) if replica.acg_id in self.frozen
+                                   else replica.resident_bytes())
+        return data
 
     def handle_transfer_out(self, acg_id: int, target: str) -> Dict[str, Any]:
         """Migration step 1 (source side): drain, checkpoint, package —
@@ -1206,20 +1200,9 @@ class IndexNode:
         self.cache.commit_for_search(acg_id)
         replica = self.replica(acg_id, create=True)
         # A fresh shared checkpoint means a source crash before the flip
-        # still fails over with all acknowledged data.
-        self._checkpoint_one(replica)
-        if self.tiering:
-            # Tiered transfer format: ship the compressed segment instead
-            # of the expanded file list (same payload on the far side).
-            payload: Dict[str, Any] = {"segment": dump_segment(replica, self.name)}
-        else:
-            payload = {
-                "acg_records": list(replica.graph.to_records()),
-                "files": [
-                    (f, dict(replica.store.attrs(f)), replica.store.attrs(f).get("path"))
-                    for f in sorted(replica.store.file_ids())
-                ],
-            }
+        # still fails over with all acknowledged data; the same segment
+        # bytes are the transfer payload.
+        payload = {"segment": self._checkpoint_one(replica)}
         self.handoff_intents[acg_id] = target
         # The intent is durable (one small log write): a restart after a
         # crash must keep forwarding and keep WAL replay away from this

@@ -12,16 +12,15 @@ ordinary exact residual filter against the hydrated view, so answers are
 byte-identical to the live B+tree/hash path.  The first *write* thaws
 the partition back to the live path.
 
-The same bytes double as a transfer format: checkpoints
-(:mod:`repro.cluster.persistence` detects the segment magic) and online
-migration (``handle_install_partition`` accepts a ``{"segment": ...}``
-payload) can both carry a segment instead of the legacy checkpoint
-frame.
+A segment is also the one checkpoint and transfer format: every
+shared-storage checkpoint (:mod:`repro.cluster.persistence`), live or
+frozen, is its partition's segment, and online migration ships
+``{"segment": ...}`` to ``handle_install_partition``.
 
-Layout mirrors the checkpoint frame: ``PSEG`` magic, version, acg id and
-compressed-body length, CRC over the compressed body, then a
-zlib-compressed sequence of length-prefixed
-:func:`~repro.indexstructures.serialization.dump_value` sections.
+Layout: ``PSEG`` magic, version, acg id and compressed-body length, CRC
+over the compressed body, then a zlib-compressed sequence of
+length-prefixed :func:`~repro.indexstructures.serialization.dump_value`
+sections.
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ def segment_key(node_name: str, acg_id: int) -> str:
 
 
 def dump_segment(replica, node_name: str) -> bytes:
-    """Serialize one live replica into an immutable frozen segment.
+    """Serialize one live replica into an immutable segment.
 
     The dump is canonical — files, keywords and chunks are emitted in
     sorted order — so freezing the same replica state twice yields the
@@ -72,22 +71,23 @@ def dump_segment(replica, node_name: str) -> bytes:
                   for s in replica.specs.values())
     sections.append(dump_value(specs))
     # 3. attribute store: (file_id, attrs-as-pairs, path), sorted by id.
+    # The same pass collects each keyword's file ids, ascending.
+    store = replica.store
     files = []
-    for file_id in sorted(replica.store.file_ids()):
-        attrs = replica.store.attrs(file_id)
-        path = attrs.get("path")
-        pairs = tuple(sorted((k, v) for k, v in attrs.items() if k != "path"))
-        files.append((file_id, pairs, path))
+    term_ids: Dict[str, List[int]] = {}
+    for file_id in sorted(store.file_ids()):
+        attrs = dict(store.attrs(file_id))
+        path = attrs.pop("path", None)
+        files.append((file_id, tuple(sorted(attrs.items())), path))
+        for term in store.keywords(file_id):
+            term_ids.setdefault(term, []).append(file_id)
     sections.append(dump_value(tuple(files)))
     # 4. ACG edge/vertex records.
     sections.append(dump_value(tuple(replica.graph.to_records())))
     # 5. keyword postings: roaring chunk dumps per path keyword.
-    postings: Dict[str, PostingList] = {}
-    for file_id in sorted(replica.store.file_ids()):
-        for term in sorted(replica.store.keywords(file_id)):
-            postings.setdefault(term, PostingList()).add(file_id)
     sections.append(dump_value(tuple(
-        (term, postings[term].dump_chunks()) for term in sorted(postings))))
+        (term, PostingList.from_sorted(term_ids[term]).dump_chunks())
+        for term in sorted(term_ids))))
     # 6. zone maps + Bloom summary (the RAM-resident pruning sidecar).
     snapshot = replica.summary.snapshot(replica.acg_id, watermark,
                                         dirty=False,
@@ -105,14 +105,9 @@ def dump_segment(replica, node_name: str) -> bytes:
     return header + body
 
 
-def is_segment(data: bytes) -> bool:
-    """Whether a blob is a frozen segment (vs a legacy checkpoint)."""
-    return data[:4] == SEGMENT_MAGIC
-
-
 def _parse_sections(data: bytes) -> List[Any]:
     if data[:4] != SEGMENT_MAGIC:
-        raise SegmentCorruption("not a frozen segment (bad magic)")
+        raise SegmentCorruption("not a segment (bad magic)")
     try:
         version, _acg_id, body_len = struct.unpack_from("<IIQ", data, 4)
         (crc,) = struct.unpack_from("<I", data, 20)
@@ -175,9 +170,8 @@ def load_segment(data: bytes) -> "SegmentView":
 
 
 def load_segment_payload(data: bytes) -> Dict[str, Any]:
-    """Parse a segment into the legacy checkpoint payload shape
-    (``{acg_id, specs, files, acg_records}``) so adoption/installation
-    code consumes segments and checkpoints identically."""
+    """Parse a segment into the ``{acg_id, specs, files, acg_records}``
+    payload that adoption and installation consume."""
     view = load_segment(data)
     files = [(file_id, dict(view.store.attrs(file_id)),
               view.store.attrs(file_id).get("path"))

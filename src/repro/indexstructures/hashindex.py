@@ -143,20 +143,22 @@ class ExtendibleHashIndex(Index):
         (one keyword, many files) resolve the bucket once instead of
         re-walking the directory per pair.  Returns pairs added.
         """
-        grouped: dict = {}
+        # Membership tests go through sets (dict keys keep batch order),
+        # so a keyword with n files costs O(n), as the cost model charges.
+        grouped: Dict[Any, Dict[Any, None]] = {}
         for key, value in pairs:
-            bucket = grouped.setdefault(key, [])
-            if value not in bucket:
-                bucket.append(value)
+            grouped.setdefault(key, {})[value] = None
         added = 0
-        for key, new_values in grouped.items():
-            first = new_values[0]
+        for key, batch in grouped.items():
+            new_values = iter(batch)
             before = self._size
-            self.insert(key, first)  # may split; re-resolves the bucket
+            self.insert(key, next(new_values))  # may split; re-resolves the bucket
             bucket = self._bucket_for(key)
             values = bucket.entries[key]
-            for value in new_values[1:]:
-                if value not in values:
+            present = set(values)
+            for value in new_values:
+                if value not in present:
+                    present.add(value)
                     values.append(value)
                     self._size += 1
             added += self._size - before

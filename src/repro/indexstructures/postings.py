@@ -17,8 +17,9 @@ test against the old set-based path (``tests/test_postings.py``).
 
 from __future__ import annotations
 
+import struct
 from bisect import bisect_left, insort
-from typing import Dict, Iterable, Iterator, List, Union
+from typing import Dict, Iterable, Iterator, List, Sequence, Union
 
 # A chunk covers ids [base << 16, (base + 1) << 16).  Sparse chunks are
 # sorted lists; once a chunk holds more than ARRAY_MAX ids the bitmap
@@ -69,6 +70,25 @@ class PostingList:
         pl = cls()
         for doc in ids:
             pl.add(doc)
+        return pl
+
+    @classmethod
+    def from_sorted(cls, ids: Sequence[int]) -> "PostingList":
+        """Bulk build from strictly ascending ids, in one pass.
+
+        Chunks come out exactly as adding the ids one by one leaves
+        them: arrays up to ``ARRAY_MAX`` ids, bitmaps above it.
+        """
+        if ids and ids[0] < 0:
+            raise ValueError("posting lists hold non-negative ids")
+        pl = cls()
+        chunks = pl._chunks
+        for doc in ids:
+            chunks.setdefault(doc >> CHUNK_SHIFT, []).append(doc & CHUNK_MASK)
+        for base, arr in chunks.items():
+            if len(arr) > ARRAY_MAX:
+                chunks[base] = _to_bitmap(arr)
+        pl._len = len(ids)
         return pl
 
     # -- point updates ------------------------------------------------------
@@ -240,7 +260,7 @@ class PostingList:
                 payload = chunk.to_bytes((1 << CHUNK_SHIFT) // 8, "little")
                 out.append((base, self._BITMAP_TAG, payload))
             else:
-                payload = b"".join(low.to_bytes(2, "little") for low in chunk)
+                payload = struct.pack(f"<{len(chunk)}H", *chunk)
                 out.append((base, self._ARRAY_TAG, payload))
         return tuple(out)
 

@@ -8,7 +8,7 @@ bytes, None, and flat tuples of those.
 from __future__ import annotations
 
 import struct
-from typing import Any, Iterator, List, Tuple
+from typing import Any, Iterator, List, Optional, Tuple
 
 from repro.indexstructures.base import Index, IndexKind, make_index
 
@@ -19,29 +19,49 @@ _TAG_BYTES = 3
 _TAG_NONE = 4
 _TAG_TUPLE = 5
 
+_pack_head = struct.Struct("<BI").pack   # tag + length (str, bytes, tuple)
+_pack_int = struct.Struct("<Bq").pack
+_pack_float = struct.Struct("<Bd").pack
+_NONE = struct.pack("<B", _TAG_NONE)
+
 
 def dump_value(value: Any) -> bytes:
     """Encode one value as a tagged binary record."""
-    if value is None:
-        return struct.pack("<B", _TAG_NONE)
-    if isinstance(value, bool):
-        # Store bools as ints; they round-trip as 0/1 which is what
-        # attribute predicates compare against.
-        return struct.pack("<Bq", _TAG_INT, int(value))
-    if isinstance(value, int):
-        return struct.pack("<Bq", _TAG_INT, value)
-    if isinstance(value, float):
-        return struct.pack("<Bd", _TAG_FLOAT, value)
-    if isinstance(value, str):
+    out: List[bytes] = []
+    _encode(value, out)
+    return b"".join(out)
+
+
+def _encode(value: Any, out: List[bytes], kind: Optional[type] = None) -> None:
+    # Dispatch on the exact type: one ``type()`` test per value instead
+    # of an isinstance chain.  bool and subclasses of the supported types
+    # come back round with ``kind`` set to their base type, so they
+    # encode as the base type would (bools as 0/1, which is what
+    # attribute predicates compare against).
+    if kind is None:
+        kind = type(value)
+    if kind is str:
         raw = value.encode("utf-8")
-        return struct.pack("<BI", _TAG_STR, len(raw)) + raw
-    if isinstance(value, bytes):
-        return struct.pack("<BI", _TAG_BYTES, len(value)) + value
-    if isinstance(value, tuple):
-        parts = [struct.pack("<BI", _TAG_TUPLE, len(value))]
-        parts.extend(dump_value(item) for item in value)
-        return b"".join(parts)
-    raise TypeError(f"cannot serialize value of type {type(value).__name__}")
+        out.append(_pack_head(_TAG_STR, len(raw)))
+        out.append(raw)
+    elif kind is int:
+        out.append(_pack_int(_TAG_INT, value))
+    elif kind is tuple:
+        out.append(_pack_head(_TAG_TUPLE, len(value)))
+        for item in value:
+            _encode(item, out)
+    elif value is None:
+        out.append(_NONE)
+    elif kind is float:
+        out.append(_pack_float(_TAG_FLOAT, value))
+    elif kind is bytes:
+        out.append(_pack_head(_TAG_BYTES, len(value)))
+        out.append(value)
+    else:
+        for base in (int, float, str, bytes, tuple):
+            if isinstance(value, base):
+                return _encode(value, out, base)
+        raise TypeError(f"cannot serialize value of type {type(value).__name__}")
 
 
 def load_value(data: bytes, offset: int) -> Tuple[Any, int]:

@@ -132,3 +132,24 @@ def test_property_insert_delete_oracle(ops):
             assert index.remove(key) == len(oracle.pop(key, set()))
     index.check_invariants()
     assert set(index.items()) == {(k, v) for k, vs in oracle.items() for v in vs}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 5)), max_size=200),
+       st.lists(st.tuples(st.integers(0, 12), st.integers(0, 5)), max_size=200),
+       st.integers(1, 8))
+def test_property_bulk_insert_matches_sequential(existing, batch, capacity):
+    sequential = ExtendibleHashIndex(bucket_capacity=capacity)
+    bulk = ExtendibleHashIndex(bucket_capacity=capacity)
+    for key, value in existing:
+        sequential.insert(key, value)
+        bulk.insert(key, value)
+    for key, value in batch:
+        sequential.insert(key, value)
+    added = bulk.bulk_insert(batch)
+    bulk.check_invariants()
+    assert added == len(set(existing) | set(batch)) - len(set(existing))
+    assert len(bulk) == len(sequential)
+    assert list(bulk.items()) == list(sequential.items())
+    assert bulk.bucket_count == sequential.bucket_count
+

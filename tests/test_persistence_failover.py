@@ -6,15 +6,15 @@ from repro.cluster import PropellerService
 from repro.cluster.persistence import (
     PROPELLER_ROOT,
     checkpoint_replica,
-    dump_replica,
     list_checkpoints,
-    load_replica_payload,
     read_checkpoint,
     replica_path,
 )
+from repro.cluster.segments import SEGMENT_MAGIC
 from repro.core.partitioner import PartitioningPolicy
-from repro.errors import ClusterError, UnknownIndexNode
+from repro.errors import ClusterError, SegmentCorruption, UnknownIndexNode
 from repro.indexstructures import IndexKind
+from repro.query import parse_query
 
 
 def build(nodes=3):
@@ -52,11 +52,16 @@ def a_replica(service):
 def test_dump_load_roundtrip():
     service, client = build()
     populate(service, client)
-    _, replica = a_replica(service)
-    payload = load_replica_payload(dump_replica(replica))
+    node, replica = a_replica(service)
+    path = checkpoint_replica(service.vfs, node.name, replica)
+    payload = read_checkpoint(service.vfs, path)
     assert payload["acg_id"] == replica.acg_id
     assert {s.name for s in payload["specs"]} == set(replica.specs)
     assert len(payload["files"]) == replica.file_count
+    for file_id, attrs, file_path in payload["files"]:
+        want = dict(replica.store.attrs(file_id))
+        assert file_path == want.pop("path")
+        assert attrs == want
     got_edges = {(u, v, w) for u, v, w in payload["acg_records"] if v != -1}
     assert got_edges == set(replica.graph.edges())
 
@@ -64,16 +69,40 @@ def test_dump_load_roundtrip():
 def test_checkpoint_crc_detects_corruption():
     service, client = build()
     populate(service, client)
-    _, replica = a_replica(service)
-    data = bytearray(dump_replica(replica))
+    node, replica = a_replica(service)
+    path = checkpoint_replica(service.vfs, node.name, replica)
+    data = bytearray(service.vfs.read_bytes(path))
     data[30] ^= 0xFF
+    service.vfs.write_bytes(path, bytes(data))
     with pytest.raises(ClusterError):
-        load_replica_payload(bytes(data))
+        read_checkpoint(service.vfs, path)
 
 
 def test_bad_magic_rejected():
-    with pytest.raises(ClusterError):
-        load_replica_payload(b"NOPE" + b"\x00" * 32)
+    service, _ = build()
+    path = replica_path("in0", 1)
+    service.vfs.mkdir(f"{PROPELLER_ROOT}/in0", parents=True)
+    service.vfs.write_bytes(path, b"NOPE" + b"\x00" * 32)
+    with pytest.raises(SegmentCorruption):
+        read_checkpoint(service.vfs, path)
+
+
+def test_live_checkpoint_is_a_segment_and_adopts_same_answers():
+    service, client = build()
+    populate(service, client)
+    node, replica = a_replica(service)
+    assert not node.frozen
+    node.checkpoint_to_shared()
+    path = replica_path(node.name, replica.acg_id)
+    assert service.vfs.read_bytes(path)[:4] == SEGMENT_MAGIC
+    other = next(n for n in service.index_nodes.values() if n is not node)
+    assert other.endpoint.dispatch("adopt_acg", path) == replica.file_count
+    for query in ("size>150", "keyword:f042", "size<120 | keyword:d"):
+        predicate = parse_query(query)
+        [want] = node.handle_search([replica.acg_id], predicate)
+        [got] = other.handle_search([replica.acg_id], predicate)
+        assert want.file_ids
+        assert (got.file_ids, got.paths) == (want.file_ids, want.paths)
 
 
 def test_checkpoint_files_land_on_shared_vfs():

@@ -66,6 +66,33 @@ def test_array_container_promotes_to_bitmap():
 def test_negative_doc_id_rejected():
     with pytest.raises(ValueError):
         PostingList().add(-1)
+    with pytest.raises(ValueError):
+        PostingList.from_sorted([-1, 3])
+
+
+def _assert_bulk_equals_incremental(ids):
+    bulk = PostingList.from_sorted(ids)
+    incremental = PostingList.from_iterable(ids)
+    assert len(bulk) == len(incremental)
+    assert bulk.chunk_kinds() == incremental.chunk_kinds()
+    assert bulk.dump_chunks() == incremental.dump_chunks()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sets(st.integers(0, 300_000), max_size=200))
+def test_property_from_sorted_matches_incremental_add(ids):
+    _assert_bulk_equals_incremental(sorted(ids))
+
+
+@pytest.mark.parametrize("ids", [
+    [],
+    list(range(4096)),                   # exactly ARRAY_MAX: stays an array
+    list(range(4097)),                   # one past: a bitmap
+    list(range(60_000, 70_000, 2)),      # straddles a chunk boundary
+    list(range(5000)) + [65_536, 200_000],
+])
+def test_from_sorted_container_thresholds(ids):
+    _assert_bulk_equals_incremental(ids)
 
 
 def test_intersect_all_smallest_first_and_empty_shortcut():

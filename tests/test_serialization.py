@@ -1,5 +1,7 @@
 """Binary framing and generic index serialization."""
 
+import collections
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -47,6 +49,46 @@ def test_bool_encodes_as_int():
 def test_unsupported_type_rejected():
     with pytest.raises(TypeError):
         dump_value({"dict": 1})
+
+
+class _Count(int):
+    pass
+
+
+class _Name(str):
+    pass
+
+
+_Pair = collections.namedtuple("_Pair", "a b")
+
+
+@pytest.mark.parametrize("value, hex_bytes", [
+    # tag, then a little-endian payload: <q int, <d float, <I length.
+    (7, "00 0700000000000000"),
+    (-1, "00 ffffffffffffffff"),
+    (1.5, "01 000000000000f83f"),
+    ("hé", "02 03000000 68c3a9"),
+    (b"\x00\xff", "03 02000000 00ff"),
+    (None, "04"),
+    ((), "05 00000000"),
+    (True, "00 0100000000000000"),
+    (False, "00 0000000000000000"),
+    (_Count(5), "00 0500000000000000"),
+    (_Name("ab"), "02 02000000 6162"),
+    (_Pair(1, "a"), "05 02000000 00 0100000000000000 02 01000000 61"),
+    ((1, ("a", None)),
+     "05 02000000 00 0100000000000000 05 02000000 02 01000000 61 04"),
+])
+def test_dump_value_golden_bytes(value, hex_bytes):
+    # Pins the wire format: WAL frame and segment lengths feed the
+    # simulated fsync and object-store charges.
+    assert dump_value(value) == bytes.fromhex(hex_bytes)
+
+
+@pytest.mark.parametrize("value", [[1], {"a": 1}, (1, [2]), ("x", {3})])
+def test_dump_value_rejects_lists_and_dicts(value):
+    with pytest.raises(TypeError):
+        dump_value(value)
 
 
 def test_record_stream():

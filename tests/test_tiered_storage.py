@@ -13,11 +13,11 @@ import pytest
 from repro.chaos.faults import FaultInjector
 from repro.cluster import PropellerService
 from repro.cluster.segments import (
+    SEGMENT_MAGIC,
     SegmentCache,
     SegmentView,
     TierPolicy,
     dump_segment,
-    is_segment,
     load_segment,
     load_segment_payload,
     segment_key,
@@ -78,7 +78,7 @@ class TestSegmentRoundTrip:
         kw_hits = 0
         for acg_id, replica in sorted(node.replicas.items()):
             data = dump_segment(replica, node.name)
-            assert is_segment(data)
+            assert data[:4] == SEGMENT_MAGIC
             view = load_segment(data)
             assert view.acg_id == acg_id
             assert view.file_count() == replica.file_count
@@ -482,7 +482,7 @@ class TestSegmentTransferFormat:
 
         acg_id = min(node.frozen)
         data = service.vfs.read_bytes(replica_path(node.name, acg_id))
-        assert is_segment(data)
+        assert data[:4] == SEGMENT_MAGIC
 
     def test_crash_restart_recovers_from_segment_checkpoint(self):
         service, client = build(tiering=True, freeze_age_s=3.0, min_bytes=1)
@@ -506,6 +506,33 @@ class TestSegmentTransferFormat:
                       if name != victim.node)
         service.master.migrate_partition(victim.partition_id, target)
         assert client.search("size>16m") == oracle
+
+    def test_migration_ships_segment_when_tiering_off(self, monkeypatch):
+        service, client = build()
+        populate(service, client)
+        oracle = client.search("size>16m")
+        kw_oracle = client.search("keyword:file00010")
+        assert kw_oracle
+        placed = [p for p in service.master.partitions.partitions() if p.node]
+        victim = placed[0]
+        source = service.index_nodes[victim.node]
+        shipped = []
+        transfer_out = source.endpoint._handlers["transfer_out"]
+
+        def spy(*args, **kwargs):
+            shipped.append(transfer_out(*args, **kwargs))
+            return shipped[-1]
+
+        monkeypatch.setitem(source.endpoint._handlers, "transfer_out", spy)
+        target = next(name for name in sorted(service.index_nodes)
+                      if name != victim.node)
+        assert service.master.migrate_partition(victim.partition_id, target) > 0
+        assert len(shipped) == 1
+        assert set(shipped[0]) == {"segment"}
+        assert shipped[0]["segment"][:4] == SEGMENT_MAGIC
+        assert service.index_nodes[target].replica(victim.partition_id).file_count
+        assert client.search("size>16m") == oracle
+        assert client.search("keyword:file00010") == kw_oracle
 
 
 # -- determinism ------------------------------------------------------------------
